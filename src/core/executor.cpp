@@ -83,7 +83,8 @@ grid::NodeId Executor::pick_replica_locked(std::size_t stage) {
   return router_.pick(mapping_, stage);
 }
 
-void Executor::admit_locked(std::uint64_t index, std::any payload) {
+void Executor::admit_locked(std::uint64_t index, std::any payload,
+                            double pushed_at) {
   RtTask task;
   task.stage = 0;
   task.item = index;
@@ -91,6 +92,9 @@ void Executor::admit_locked(std::uint64_t index, std::any payload) {
   task.deliver_at = Clock::now();
   ++admitted_;
   const double vnow = virtual_now();
+  if (obs_metrics_.admit_wait) {
+    obs_metrics_.admit_wait->record(vnow - pushed_at);
+  }
   admit_time_[index] = vnow;
   ctl_flight_.record(obs::FlightKind::kAdmit, vnow, 0, index);
   if (admitted_ - completed_count_.load() >= config_.window) {
@@ -325,9 +329,9 @@ void Executor::complete_item(std::uint64_t item, std::any output) {
   ctl_flight_.record(obs::FlightKind::kComplete, vnow, 0, item);
   while (!pending_.empty() &&
          admitted_ - completed_count_.load() < config_.window) {
-    auto entry = std::move(pending_.front());
+    Pending entry = std::move(pending_.front());
     pending_.pop_front();
-    admit_locked(entry.first, std::move(entry.second));
+    admit_locked(entry.index, std::move(entry.payload), entry.pushed_at);
   }
 }
 
@@ -496,10 +500,11 @@ void Executor::stream_push(std::any item) {
   }
   const std::uint64_t index = pushed_.fetch_add(1);
   if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
+  const double pushed_at = obs_metrics_.admit_wait ? virtual_now() : 0.0;
   if (admitted_ - completed_count_.load() < config_.window) {
-    admit_locked(index, std::move(item));
+    admit_locked(index, std::move(item), pushed_at);
   } else {
-    pending_.emplace_back(index, std::move(item));
+    pending_.push_back({index, std::move(item), pushed_at});
   }
 }
 

@@ -137,7 +137,9 @@ class Executor : private control::AdaptationHost {
   void requeue_per_mapping(std::vector<RtTask> tasks);
   void route_onward(grid::NodeId from, RtTask task);
   void complete_item(std::uint64_t item, std::any output);
-  void admit_locked(std::uint64_t index, std::any payload)
+  /// `pushed_at` is the item's virtual push time (feeds the
+  /// admit_wait_seconds histogram; unused when metrics are off).
+  void admit_locked(std::uint64_t index, std::any payload, double pushed_at)
       GRIDPIPE_REQUIRES(routing_mutex_);
   void controller_loop();
   /// Body of worker_loop; a stage exception escaping it is captured into
@@ -167,8 +169,12 @@ class Executor : private control::AdaptationHost {
   sched::Mapping mapping_ GRIDPIPE_GUARDED_BY(routing_mutex_);
   sched::ReplicaRouter router_ GRIDPIPE_GUARDED_BY(routing_mutex_);
   /// Pushed items waiting for in-flight credit, in input order.
-  std::deque<std::pair<std::uint64_t, std::any>> pending_
-      GRIDPIPE_GUARDED_BY(routing_mutex_);
+  struct Pending {
+    std::uint64_t index = 0;
+    std::any payload;
+    double pushed_at = 0.0;  ///< virtual; stamped only when metrics are on
+  };
+  std::deque<Pending> pending_ GRIDPIPE_GUARDED_BY(routing_mutex_);
   /// Virtual admission time per in-flight item (for latency metrics).
   std::map<std::uint64_t, double> admit_time_
       GRIDPIPE_GUARDED_BY(routing_mutex_);

@@ -204,6 +204,7 @@ void StandardMetrics::bind(MetricsRegistry* registry) {
   items_replayed = &registry->counter(names::kItemsReplayed);
   items_deduped = &registry->counter(names::kItemsDeduped);
   item_latency = &registry->histogram(names::kItemLatency);
+  admit_wait = &registry->histogram(names::kAdmitWait);
   stage_service = &registry->histogram(names::kStageService);
   recovery_time = &registry->histogram(names::kRecoverySeconds);
 }

@@ -38,6 +38,10 @@ inline constexpr const char* kTelemetryBatches = "telemetry_batches";
 inline constexpr const char* kHeartbeats = "heartbeats";
 inline constexpr const char* kWorkerStalls = "worker_stalls";
 inline constexpr const char* kItemLatency = "item_latency_seconds";
+/// Virtual seconds from stream_push to admission (credit wait plus the
+/// time the runtime takes to notice the push). item_latency_seconds
+/// starts at admission, so this is the part of push->pop it cannot see.
+inline constexpr const char* kAdmitWait = "admit_wait_seconds";
 inline constexpr const char* kStageService = "stage_service_seconds";
 inline constexpr const char* kEpochWall = "epoch_wall_seconds";
 // Fault tolerance (process substrate with recovery enabled):
@@ -197,6 +201,7 @@ struct StandardMetrics {
   Counter* items_replayed = nullptr;
   Counter* items_deduped = nullptr;
   Histogram* item_latency = nullptr;
+  Histogram* admit_wait = nullptr;
   Histogram* stage_service = nullptr;
   /// Virtual seconds from a worker-death detection until every item in
   /// flight at that moment had been delivered (one sample per recovery).

@@ -243,9 +243,14 @@ double virtual_now(const ChildContext& ctx) {
       comm::wire::end_frame(train, obs_off);
     }
     if (!ring_sent) {
-      const std::size_t off = train.size();
-      train.resize(off + next.size());
-      std::memcpy(train.data() + off, next.data(), next.size());
+      // An injected duplicate delivery repeats the result frame verbatim.
+      const bool dup = last && ctx.faults != nullptr &&
+                       ctx.faults->should_duplicate(self, item);
+      for (int copy = 0; copy < (dup ? 2 : 1); ++copy) {
+        const std::size_t off = train.size();
+        train.resize(off + next.size());
+        std::memcpy(train.data() + off, next.data(), next.size());
+      }
       flight.record(
           obs::FlightKind::kFrameSend, vdone,
           static_cast<std::uint32_t>(last ? FrameKind::kResult

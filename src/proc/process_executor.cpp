@@ -12,6 +12,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -100,6 +101,7 @@ ProcessExecutor::~ProcessExecutor() {
     }
   }
   kill_fleet();
+  if (wake_fd_ >= 0) ::close(wake_fd_);  // a finish that never ran
 }
 
 std::unique_ptr<control::AdaptationController>
@@ -171,6 +173,7 @@ void ProcessExecutor::spawn_worker(std::size_t node,
     // mid-operation here.)
     for (Worker& w : workers_) w.sock.close();
     parent_end.close();
+    if (wake_fd_ >= 0) ::close(wake_fd_);  // set only on respawns
     // Keep our own doorbell read end plus every write end; siblings'
     // read ends are theirs alone.
     for (std::size_t i = 0; i < bells_.size(); ++i) {
@@ -270,9 +273,13 @@ void ProcessExecutor::spawn_fleet() {
   }
 }
 
-void ProcessExecutor::admit(grid::NodeId dst, std::uint64_t index,
-                            Bytes payload) {
+void ProcessExecutor::admit(grid::NodeId dst, Queued item) {
   const double vnow = virtual_now();
+  const std::uint64_t index = item.seq;
+  Bytes& payload = item.payload;
+  if (obs_metrics_.admit_wait) {
+    obs_metrics_.admit_wait->record(vnow - item.pushed_at);
+  }
   // Journal before the bytes can leave: if the first hop dies with the
   // frame queued, the entry is what brings the item back.
   if (recovery_on()) {
@@ -323,10 +330,8 @@ void ProcessExecutor::handle_frame(std::size_t source,
       // dies with the next socket read).
       std::size_t dst = frame.node;
       if (dst >= workers_.size()) {
-        kill_fleet();
-        throw std::runtime_error(
-            "ProcessExecutor: relay to nonexistent node " +
-            std::to_string(dst));
+        fail_protocol(source, "relayed a task to nonexistent node " +
+                                  std::to_string(dst));
       }
       if (!workers_[dst].sock.valid()) {
         // The sender routed through a stale table into a down node.
@@ -368,6 +373,13 @@ void ProcessExecutor::handle_frame(std::size_t source,
       const comm::wire::TaskView task = comm::wire::decode_task(frame.payload);
       const std::uint64_t item = task.item;
       const double vnow = virtual_now();
+      // Results are untrusted input: admission hands out seqs densely
+      // from 0, so anything at or past admitted_ was never sent out.
+      if (item >= admitted_) {
+        fail_protocol(source, "sent a result for item " +
+                                  std::to_string(item) +
+                                  ", which was never admitted");
+      }
       if (recovery_on()) {
         if (!journal_.retire(item)) {
           // Already delivered once: a replay raced the original past the
@@ -380,8 +392,21 @@ void ProcessExecutor::handle_frame(std::size_t source,
         journal_live_.store(journal_.live(), std::memory_order_relaxed);
         note_retired(item, vnow);
       }
-      // The output crosses the API boundary, so it owns its bytes.
-      Bytes payload(task.payload.begin(), task.payload.end());
+      // The output crosses the API boundary, so it owns its bytes. Only
+      // an accepted insert is a completion: counting a rejected duplicate
+      // would end the stream one item short (completed_ == pushed_ early)
+      // and skew the credit window.
+      bool accepted = false;
+      {
+        util::MutexLock lock(stream_mutex_);
+        accepted =
+            out_.insert(item, Bytes(task.payload.begin(), task.payload.end()));
+        if (accepted && config_.obs.tracer) completed_at_.emplace(item, vnow);
+      }
+      if (!accepted) {
+        fail_protocol(source, "sent a duplicate result for item " +
+                                  std::to_string(item));
+      }
       double created_at = 0.0;
       if (auto it = admit_time_.find(item); it != admit_time_.end()) {
         created_at = it->second;
@@ -396,11 +421,6 @@ void ProcessExecutor::handle_frame(std::size_t source,
         obs_metrics_.item_latency->record(vnow - created_at);
       }
       ++completed_;
-      {
-        util::MutexLock lock(stream_mutex_);
-        out_.insert(item, std::move(payload));
-        if (config_.obs.tracer) completed_at_.emplace(item, vnow);
-      }
       break;
     }
     case FrameKind::kSpeedObs:
@@ -431,7 +451,9 @@ void ProcessExecutor::event_loop() {
   const double epoch = config_.adapt.epoch;
   double next_epoch = epoch;
 
-  std::vector<pollfd> fds(workers_.size());
+  // One entry per worker, then the wake eventfd (fixed for the stream).
+  std::vector<pollfd> fds(workers_.size() + 1);
+  fds.back() = {wake_fd_, POLLIN, 0};
   for (;;) {
     // Recovery housekeeping first: supervisor decisions for fresh
     // deaths, respawns whose backoff expired, requested arrivals. All
@@ -446,6 +468,7 @@ void ProcessExecutor::event_loop() {
     bool done = false;
     {
       util::MutexLock lock(stream_mutex_);
+      parked_ = false;  // awake: pushes from here on need no eventfd write
       while (!incoming_.empty()) {
         pending_.push_back(std::move(incoming_.front()));
         incoming_.pop_front();
@@ -471,9 +494,9 @@ void ProcessExecutor::event_loop() {
         }
         if (!found) break;
       }
-      auto entry = std::move(pending_.front());
+      Queued entry = std::move(pending_.front());
       pending_.pop_front();
-      admit(dst, entry.first, std::move(entry.second));
+      admit(dst, std::move(entry));
     }
     if (done) {
       ctl_flight_.record(obs::FlightKind::kClose, virtual_now());
@@ -481,12 +504,28 @@ void ProcessExecutor::event_loop() {
     }
 
     // Wait at most until the next adaptation point, capped at 50 ms real
-    // either way: nothing wakes poll() on a stream_push/stream_close, so
-    // the cap is what bounds the latency of noticing one.
+    // either way. The cap bounds only the housekeeping a quiet stream
+    // still owes (stall checks, respawn backoff deadlines, epochs), not
+    // push latency: see the wake protocol below.
     double wait_real = 0.05;
     if (epoch > 0.0) {
       wait_real = std::clamp((next_epoch - virtual_now()) * config_.time_scale,
                              1e-3, 0.05);
+    }
+    int timeout_ms = std::max(1, static_cast<int>(wait_real * 1e3));
+    // Wake protocol. With nothing to admit and credit to spare, only a
+    // push, a close or an arrival request can give this loop work before
+    // a worker frame does, so park: recheck incoming_ and end-of-stream
+    // under the lock those writers take, then set parked_. A writer that
+    // finds parked_ set clears it and writes the eventfd, which poll()
+    // sees even if the write lands before the call. A full window does
+    // not park: a push could not be admitted anyway, and the completion
+    // that frees credit arrives on a worker socket. If the recheck finds
+    // work, poll without blocking and come straight back round.
+    if (pending_.empty() && admitted_ - completed_ < config_.window) {
+      util::MutexLock lock(stream_mutex_);
+      parked_ = incoming_.empty() && !(closed_ && completed_ == pushed_);
+      if (!parked_) timeout_ms = 0;
     }
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       fds[i].fd = workers_[i].sock.fd();
@@ -494,12 +533,17 @@ void ProcessExecutor::event_loop() {
       if (workers_[i].sock.pending_out() > 0) fds[i].events |= POLLOUT;
       fds[i].revents = 0;
     }
-    const int timeout_ms = std::max(1, static_cast<int>(wait_real * 1e3));
+    fds.back().revents = 0;
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0 && errno != EINTR) {
       kill_fleet();
       throw std::runtime_error(std::string("ProcessExecutor: poll: ") +
                                describe_errno(errno));
+    }
+    if (fds.back().revents & POLLIN) {
+      std::uint64_t wakes = 0;  // drain the counter; the wake is the news
+      [[maybe_unused]] const ssize_t n =
+          ::read(wake_fd_, &wakes, sizeof(wakes));
     }
 
     for (std::size_t i = 0; i < workers_.size() && ready > 0; ++i) {
@@ -657,6 +701,13 @@ void ProcessExecutor::fail_run(std::size_t node) {
     message += "; last flight events:\n" + tail;
   }
   throw std::runtime_error(message);
+}
+
+void ProcessExecutor::fail_protocol(std::size_t node,
+                                    const std::string& what) {
+  kill_fleet();
+  throw std::runtime_error("ProcessExecutor: worker for node " +
+                           std::to_string(node) + " " + what);
 }
 
 void ProcessExecutor::fail_lost(std::size_t node, const std::string& why) {
@@ -950,6 +1001,14 @@ void ProcessExecutor::request_arrival(std::size_t node) {
   }
   util::MutexLock lock(stream_mutex_);
   arrivals_.push_back(node);
+  wake_controller_locked();
+}
+
+void ProcessExecutor::wake_controller_locked() {
+  if (!parked_) return;
+  parked_ = false;
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 std::string ProcessExecutor::flight_tail(std::size_t lane,
@@ -1010,8 +1069,18 @@ void ProcessExecutor::stream_begin() {
   stream_active_ = true;
 
   // Fork the fleet first, start our own controller thread second: the
-  // runtime never forks while one of its own threads is live.
+  // runtime never forks while one of its own threads is live. The wake
+  // eventfd comes after the initial forks so those children never hold
+  // it; respawned ones close it in spawn_worker.
   spawn_fleet();
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) {
+    const int err = errno;
+    kill_fleet();
+    stream_active_ = false;
+    throw std::runtime_error(std::string("ProcessExecutor: eventfd: ") +
+                             describe_errno(err));
+  }
   controller_thread_ = std::thread([this] { controller_main(); });
 }
 
@@ -1021,7 +1090,9 @@ void ProcessExecutor::stream_push(Bytes item) {
     throw std::logic_error("ProcessExecutor: push on a closed stream");
   }
   if (obs_metrics_.items_pushed) obs_metrics_.items_pushed->add(1);
-  incoming_.emplace_back(pushed_++, std::move(item));
+  const double pushed_at = obs_metrics_.admit_wait ? virtual_now() : 0.0;
+  incoming_.push_back({pushed_++, std::move(item), pushed_at});
+  wake_controller_locked();
 }
 
 std::optional<Bytes> ProcessExecutor::stream_try_pop() {
@@ -1043,6 +1114,7 @@ std::optional<Bytes> ProcessExecutor::stream_try_pop() {
 void ProcessExecutor::stream_close() {
   util::MutexLock lock(stream_mutex_);
   closed_ = true;
+  wake_controller_locked();
 }
 
 core::RunReport ProcessExecutor::stream_finish() {
@@ -1060,6 +1132,9 @@ core::RunReport ProcessExecutor::stream_finish() {
   stream_active_ = false;
   {
     util::MutexLock lock(stream_mutex_);
+    parked_ = false;  // the fd below is going: no late waker may touch it
+    ::close(wake_fd_);
+    wake_fd_ = -1;
     if (stream_error_) std::rethrow_exception(stream_error_);
   }
 

@@ -27,7 +27,8 @@
 //
 // Lifecycle: stream_begin() forks the fleet, then multiplexes it with
 // poll(2) on a dedicated controller thread; stream_push() enqueues items
-// the poll loop admits under the credit window, stream_try_pop() returns
+// the poll loop admits under the credit window (an eventfd in the poll
+// set wakes a loop parked with credit to spare), stream_try_pop() returns
 // outputs in input order, and stream_finish() reaps every child with
 // waitpid before returning — no SIGCHLD handler (a library must not own
 // process-wide signal dispositions; synchronous reaping needs none). A
@@ -175,6 +176,13 @@ class ProcessExecutor : private control::AdaptationHost {
     int pid = -1;
     FrameSocket sock;
   };
+  /// A pushed item on its way to admission. pushed_at (virtual) is
+  /// stamped only when metrics are on; it feeds admit_wait_seconds.
+  struct Queued {
+    std::uint64_t seq = 0;
+    Bytes payload;
+    double pushed_at = 0.0;
+  };
 
   // control::AdaptationHost (called from the parent's epoch loop).
   double virtual_now() const override;
@@ -199,7 +207,16 @@ class ProcessExecutor : private control::AdaptationHost {
   void controller_main();
   void event_loop();
   void handle_frame(std::size_t source, const comm::wire::FrameView& frame);
-  void admit(grid::NodeId dst, std::uint64_t index, Bytes payload);
+  void admit(grid::NodeId dst, Queued item);
+  /// Wakes the controller out of poll() if it is parked: clears parked_
+  /// and writes the eventfd. Called by every stream_mutex_ writer that
+  /// can give a parked loop work (push, close, arrival request).
+  void wake_controller_locked() GRIDPIPE_REQUIRES(stream_mutex_);
+  /// A worker sent a frame that breaks the protocol (duplicate or
+  /// never-admitted result, relay to a nonexistent node): kill the fleet
+  /// and fail the run naming the sender. Recovery cannot mend this — the
+  /// worker is alive and lying.
+  [[noreturn]] void fail_protocol(std::size_t node, const std::string& what);
   /// Graceful: broadcast kShutdown, drain to EOF, close, reap.
   void shutdown_fleet();
   /// Crash path and destructor safety net: SIGKILL + reap, noexcept.
@@ -272,7 +289,7 @@ class ProcessExecutor : private control::AdaptationHost {
   // Controller-thread-only admission state. The counters are atomic only
   // so status() can read them from another thread; the controller thread
   // is the sole writer.
-  std::deque<std::pair<std::uint64_t, Bytes>> pending_;
+  std::deque<Queued> pending_;
   /// Virtual admission time per in-flight item (for latency metrics).
   std::map<std::uint64_t, double> admit_time_;
   std::atomic<std::uint64_t> admitted_{0};
@@ -296,8 +313,7 @@ class ProcessExecutor : private control::AdaptationHost {
   // Stream state shared between the pushing/popping caller and the
   // controller thread (mutable: status() reads it const).
   mutable util::Mutex stream_mutex_;
-  std::deque<std::pair<std::uint64_t, Bytes>> incoming_
-      GRIDPIPE_GUARDED_BY(stream_mutex_);
+  std::deque<Queued> incoming_ GRIDPIPE_GUARDED_BY(stream_mutex_);
   /// Ordered, seq-keyed output reorder buffer. Its dedup (reject seqs
   /// already delivered) is the exactly-once backstop behind the
   /// journal's retire-as-dedup in the controller thread.
@@ -311,6 +327,16 @@ class ProcessExecutor : private control::AdaptationHost {
   std::exception_ptr stream_error_ GRIDPIPE_GUARDED_BY(stream_mutex_);
   /// Nodes request_arrival() asked the controller thread to bring up.
   std::vector<std::size_t> arrivals_ GRIDPIPE_GUARDED_BY(stream_mutex_);
+  /// Set by the controller, just before it polls, when it has nothing to
+  /// admit and credit to spare — the one state in which a push or close
+  /// is news only the eventfd can deliver. Cleared by whoever wakes it.
+  bool parked_ GRIDPIPE_GUARDED_BY(stream_mutex_) = false;
+  /// eventfd (nonblocking, counter mode) that is the last entry of the
+  /// controller's poll set. Open from stream_begin (after the initial
+  /// fleet forks, so only respawned children inherit it — and close it)
+  /// to stream_finish. Not guarded: written only while no controller
+  /// thread runs, and wakers touch it only while parked_ is set.
+  int wake_fd_ = -1;
 
   // ---- recovery state (controller thread only; the atomics mirror the
   // counters for status()/stream_finish() readers) ----

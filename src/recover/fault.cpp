@@ -60,13 +60,21 @@ bool FaultPlan::should_die(std::uint32_t node, std::uint64_t item,
                            std::uint32_t stage,
                            std::uint32_t incarnation) const noexcept {
   if (incarnation == 0) {
-    for (const KillPoint& kp : kills) {
+    for (const Point& kp : kills) {
       if (kp.node == node && kp.item == item) return true;
     }
   }
   if (kill_rate > 0.0 &&
       hashed_uniform(seed, node, item, stage, incarnation) < kill_rate) {
     return true;
+  }
+  return false;
+}
+
+bool FaultPlan::should_duplicate(std::uint32_t node,
+                                 std::uint64_t item) const noexcept {
+  for (const Point& dp : dups) {
+    if (dp.node == node && dp.item == item) return true;
   }
   return false;
 }
@@ -90,18 +98,18 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
     }
     const std::string_view key = term.substr(0, eq);
     const std::string_view value = term.substr(eq + 1);
-    if (key == "kill") {
+    if (key == "kill" || key == "dup") {
       const std::size_t at = value.find('@');
       if (at == std::string_view::npos) {
-        throw std::invalid_argument(
-            "fault plan: kill wants NODE@ITEM, got '" + std::string(value) +
-            "'");
+        throw std::invalid_argument("fault plan: " + std::string(key) +
+                                    " wants NODE@ITEM, got '" +
+                                    std::string(value) + "'");
       }
-      KillPoint kp;
-      kp.node = static_cast<std::uint32_t>(
-          parse_u64(value.substr(0, at), "kill node"));
-      kp.item = parse_u64(value.substr(at + 1), "kill item");
-      plan.kills.push_back(kp);
+      Point point;
+      point.node = static_cast<std::uint32_t>(
+          parse_u64(value.substr(0, at), std::string(key) + " node"));
+      point.item = parse_u64(value.substr(at + 1), std::string(key) + " item");
+      (key == "kill" ? plan.kills : plan.dups).push_back(point);
     } else if (key == "rate") {
       plan.kill_rate = parse_rate(value);
     } else if (key == "seed") {
@@ -109,7 +117,7 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
     } else {
       throw std::invalid_argument("fault plan: unknown key '" +
                                   std::string(key) +
-                                  "' (want kill|rate|seed)");
+                                  "' (want kill|dup|rate|seed)");
     }
     if (end == spec.size()) break;
   }
@@ -119,12 +127,17 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
 std::string FaultPlan::to_string() const {
   std::string out;
   char buf[64];
-  for (const KillPoint& kp : kills) {
-    std::snprintf(buf, sizeof(buf), "kill=%u@%llu", kp.node,
-                  static_cast<unsigned long long>(kp.item));
-    if (!out.empty()) out += ';';
-    out += buf;
-  }
+  const auto append_points = [&](const char* key,
+                                 const std::vector<Point>& points) {
+    for (const Point& p : points) {
+      std::snprintf(buf, sizeof(buf), "%s=%u@%llu", key, p.node,
+                    static_cast<unsigned long long>(p.item));
+      if (!out.empty()) out += ';';
+      out += buf;
+    }
+  };
+  append_points("kill", kills);
+  append_points("dup", dups);
   if (kill_rate > 0.0) {
     std::snprintf(buf, sizeof(buf), "rate=%g", kill_rate);
     if (!out.empty()) out += ';';

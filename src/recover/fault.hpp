@@ -22,6 +22,12 @@
 //    re-rolls instead of deterministically re-dying, so a rate plan
 //    converges instead of livelocking a node.
 //
+// A third, non-fatal shape tests the parent's result-frame checks:
+//  * dup points — "node N sends item K's result frame twice". The
+//    parent must drop (recovery on) or reject with an attributed error
+//    (recovery off) the second copy; counting it would end the stream
+//    one item short.
+//
 // The textual spec ("kill=1@20;kill=2@20;rate=0.01;seed=7") is what
 // `gridpipe_cli --inject-fault` parses; to_string round-trips it.
 
@@ -33,17 +39,21 @@
 namespace gridpipe::recover {
 
 struct FaultPlan {
-  struct KillPoint {
+  /// One (node, item) trigger.
+  struct Point {
     std::uint32_t node = 0;
-    std::uint64_t item = 0;  ///< die before executing this item (any stage)
-    friend bool operator==(const KillPoint&, const KillPoint&) = default;
+    std::uint64_t item = 0;
+    friend bool operator==(const Point&, const Point&) = default;
   };
 
-  std::vector<KillPoint> kills;
+  std::vector<Point> kills;  ///< die before executing the item (any stage)
+  std::vector<Point> dups;   ///< send the item's result frame twice
   double kill_rate = 0.0;  ///< per-task death probability in [0, 1)
   std::uint64_t seed = 1;  ///< hash seed for the rate draws
 
-  bool any() const noexcept { return !kills.empty() || kill_rate > 0.0; }
+  bool any() const noexcept {
+    return !kills.empty() || !dups.empty() || kill_rate > 0.0;
+  }
 
   /// True when `node` (in its `incarnation`-th life, 0 = original fork)
   /// should die instead of executing `item` at `stage`. Pure function of
@@ -51,8 +61,14 @@ struct FaultPlan {
   bool should_die(std::uint32_t node, std::uint64_t item, std::uint32_t stage,
                   std::uint32_t incarnation) const noexcept;
 
+  /// True when `node` should send `item`'s result frame twice (any
+  /// incarnation: a duplicate is not a death, so nothing re-arms it).
+  bool should_duplicate(std::uint32_t node,
+                        std::uint64_t item) const noexcept;
+
   /// Parses the CLI grammar: ';'- or ','-separated terms, each one of
   ///   kill=NODE@ITEM   a deterministic kill point (repeatable)
+  ///   dup=NODE@ITEM    a duplicated result frame (repeatable)
   ///   rate=P           per-task death probability
   ///   seed=S           hash seed for rate draws
   /// Throws std::invalid_argument with a pointed message on bad input.

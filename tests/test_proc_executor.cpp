@@ -2,13 +2,16 @@
 // format (round-trips for every kind, malformed/truncated rejection),
 // end-to-end correctness over real forked processes and Unix sockets,
 // crash detection, controller-driven adaptation (the same kOnChange
-// quiet-epoch/load-step scenarios the other runtimes pass), and decision
-// parity with the DistributedExecutor.
+// quiet-epoch/load-step scenarios the other runtimes pass), decision
+// parity with the DistributedExecutor, the controller's wake path (idle
+// push and close latency) and fd hygiene across stream cycles.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <thread>
 
 #include <signal.h>
@@ -581,6 +584,181 @@ TEST(ProcessExecutor, RingEnabledOutputsMatchDistGolden) {
               std::any_cast<const Bytes&>(dist_report.outputs[i]))
         << "item " << i;
   }
+}
+
+// ---------------------------------------------------------- wake path
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Default time_scale, adaptation off: the controller's only timeout is
+// the 50 ms housekeeping cap. An item pushed onto an idle stream must be
+// picked up by the wake eventfd, not by that cap expiring.
+TEST(ProcessExecutor, IdlePushIsAdmittedWithoutWaitingForThePollCap) {
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  ProcessExecutor executor(g, arithmetic_stages(),
+                           sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                           ProcExecutorConfig{});
+  executor.stream_begin();
+  std::vector<double> push_to_pop_ms;
+  for (int i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto t0 = Clock::now();
+    executor.stream_push(bytes_of_int(i));
+    std::optional<Bytes> out;
+    while (!(out = executor.stream_try_pop()) && ms_since(t0) < 2000.0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ASSERT_TRUE(out.has_value()) << "item " << i << " never came out";
+    push_to_pop_ms.push_back(ms_since(t0));
+    EXPECT_EQ(int_of_bytes(*out), (i + 1) * 3 - 1) << "item " << i;
+  }
+  executor.stream_close();
+  EXPECT_EQ(executor.stream_finish().items, 20u);
+  EXPECT_LT(median_of(push_to_pop_ms), 10.0)
+      << "idle push waited for the poll cap";
+}
+
+// stream_close on an idle stream must wake the parked controller too.
+// The reference is fleet shutdown alone: close with one item in flight,
+// then start the clock once its output has been popped — the controller
+// has handled that result with closed_ already set, so it goes straight
+// to shutdown on any version of the loop.
+TEST(ProcessExecutor, IdleCloseFinishesWithoutWaitingForThePollCap) {
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  ProcessExecutor executor(g, arithmetic_stages(),
+                           sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                           ProcExecutorConfig{});
+  std::vector<double> idle_ms;
+  std::vector<double> shutdown_ms;
+  for (int round = 0; round < 5; ++round) {
+    executor.stream_begin();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto t0 = Clock::now();
+    executor.stream_close();
+    executor.stream_finish();
+    idle_ms.push_back(ms_since(t0));
+
+    executor.stream_begin();
+    executor.stream_push(bytes_of_int(round));
+    executor.stream_close();
+    t0 = Clock::now();
+    while (!executor.stream_try_pop() && ms_since(t0) < 2000.0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    t0 = Clock::now();
+    EXPECT_EQ(executor.stream_finish().items, 1u);
+    shutdown_ms.push_back(ms_since(t0));
+  }
+  EXPECT_LT(median_of(idle_ms), 10.0 + median_of(shutdown_ms))
+      << "idle close waited for the poll cap";
+}
+
+// ---------------------------------------------------------- fd hygiene
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ProcessExecutor, StreamCyclesAndCrashedRunLeakNoFds) {
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  const std::size_t baseline = open_fd_count();
+  {
+    ProcessExecutor executor(g, arithmetic_stages(),
+                             sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                             fast_proc_config());
+    for (int cycle = 0; cycle < 30; ++cycle) {
+      executor.stream_begin();
+      executor.stream_push(bytes_of_int(cycle));
+      executor.stream_close();
+      ASSERT_EQ(executor.stream_finish().items, 1u) << "cycle " << cycle;
+      ASSERT_TRUE(executor.stream_try_pop().has_value()) << "cycle " << cycle;
+    }
+  }
+  EXPECT_EQ(open_fd_count(), baseline) << "after 30 clean cycles";
+
+  // A worker crash with recovery off fails the run through kill_fleet.
+  auto stages = arithmetic_stages();
+  stages[1].fn = [](core::ByteSpan in, Bytes& out) {
+    if (int_of_bytes(in) == 5) _exit(7);  // item 4 after the +1 stage
+    append_int(out, int_of_bytes(in) * 3);
+  };
+  {
+    ProcessExecutor executor(g, std::move(stages),
+                             sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                             fast_proc_config());
+    std::vector<Bytes> inputs;
+    for (int i = 0; i < 10; ++i) inputs.push_back(bytes_of_int(i));
+    EXPECT_THROW(executor.run(std::move(inputs)), std::runtime_error);
+  }
+  EXPECT_EQ(open_fd_count(), baseline) << "after a crashed run";
+}
+
+TEST(ProcessExecutor, RespawnedWorkerDoesNotInheritTheWakeFd) {
+  // The wake eventfd is created after the initial fleet forks; a worker
+  // respawned mid-stream forks from the controller thread with it open
+  // and must close it, like every other parent-side fd.
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  ProcExecutorConfig config = fast_proc_config();
+  config.recovery.enabled = true;
+  config.recovery.faults.kills = {{/*node=*/1, /*item=*/3}};
+  ProcessExecutor executor(g, arithmetic_stages(),
+                           sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                           config);
+  executor.stream_begin();
+  const int original = executor.worker_pids().at(1);
+  for (int i = 0; i < 8; ++i) executor.stream_push(bytes_of_int(i));
+  int respawned = -1;
+  const auto t0 = Clock::now();
+  while (ms_since(t0) < 5000.0) {
+    const int pid = executor.worker_pids().at(1);
+    if (pid > 0 && pid != original) {
+      respawned = pid;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(respawned, 0) << "worker 1 was never respawned";
+  // The pid is published right after fork, before the child has closed
+  // anything; once every item is out, the replays have run through the
+  // new worker, so its fd table is settled.
+  std::size_t popped = 0;
+  while (popped < 8 && ms_since(t0) < 5000.0) {
+    if (executor.stream_try_pop()) {
+      ++popped;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_EQ(popped, 8u);
+  std::size_t links = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           "/proc/" + std::to_string(respawned) + "/fd")) {
+    std::error_code ec;
+    const auto target = std::filesystem::read_symlink(entry.path(), ec);
+    if (ec) continue;  // closed between listing and reading
+    ++links;
+    EXPECT_EQ(target.string().find("eventfd"), std::string::npos)
+        << entry.path() << " -> " << target;
+  }
+  EXPECT_GT(links, 0u) << "could not read the respawned worker's fds";
+  executor.stream_close();
+  const auto report = executor.stream_finish();
+  EXPECT_EQ(report.items, 8u);
+  EXPECT_EQ(report.respawns, 1u);
 }
 
 // -------------------------------------------------------------- parity

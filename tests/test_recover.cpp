@@ -72,6 +72,25 @@ TEST(FaultPlan, KillPointsFireOnceAtIncarnationZero) {
   EXPECT_FALSE(plan.should_die(1, 19, 0, 0));  // other item
 }
 
+TEST(FaultPlan, DupPointsParseRoundTripAndMatchExactly) {
+  const FaultPlan plan = FaultPlan::parse("dup=2@5;kill=1@9;dup=0@1");
+  ASSERT_EQ(plan.dups.size(), 2u);
+  EXPECT_EQ(plan.dups[0], (FaultPlan::Point{2, 5}));
+  EXPECT_EQ(plan.dups[1], (FaultPlan::Point{0, 1}));
+  ASSERT_EQ(plan.kills.size(), 1u);
+  EXPECT_EQ(FaultPlan::parse(plan.to_string()), plan);
+  EXPECT_TRUE(FaultPlan::parse("dup=2@5").any());
+
+  EXPECT_TRUE(plan.should_duplicate(2, 5));
+  EXPECT_FALSE(plan.should_duplicate(2, 6));
+  EXPECT_FALSE(plan.should_duplicate(1, 5));
+  // A duplicate is not a death.
+  EXPECT_FALSE(plan.should_die(2, 5, 2, 0));
+
+  EXPECT_THROW(FaultPlan::parse("dup=2"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("dup=a@1"), std::invalid_argument);
+}
+
 TEST(FaultPlan, RateDrawsAreDeterministicAndIncarnationSalted) {
   FaultPlan plan;
   plan.kill_rate = 0.5;
@@ -321,7 +340,7 @@ TEST(RecoverIntegration, SigkillMidStreamMatchesGoldenOutput) {
   // nearly-done results) completes with output identical to the
   // crash-free run.
   const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
-  const FaultPlan::KillPoint points[] = {{0, 12}, {1, 7}, {2, 20}};
+  const FaultPlan::Point points[] = {{0, 12}, {1, 7}, {2, 20}};
   for (const auto& point : points) {
     SCOPED_TRACE("kill node " + std::to_string(point.node) + " at item " +
                  std::to_string(point.item));
@@ -420,6 +439,54 @@ TEST(RecoverIntegration, DuplicateDeliveriesAreDeduped) {
   EXPECT_GE(report.items_replayed, 1u);
   EXPECT_GE(report.items_deduped, 1u)
       << "no duplicate was dropped; replay raced nothing";
+}
+
+// ----------------------------- integration: duplicated result frames
+
+// A worker that sends one item's result twice is alive and wrong, not
+// dead. Recovery off: the run must fail with an error naming the node
+// and the item — never hang, never end one item short because the
+// duplicate was counted as a completion.
+TEST(RecoverIntegration, DuplicateResultFailsAttributedWithRecoveryOff) {
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  proc::ProcExecutorConfig config;
+  config.time_scale = 0.002;
+  config.recovery.faults.dups = {{/*node=*/2, /*item=*/5}};  // last stage
+  proc::ProcessExecutor executor(g, arithmetic_stages(),
+                                 sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                                 config);
+  std::vector<Bytes> inputs;
+  for (int i = 0; i < 20; ++i) inputs.push_back(bytes_of_int(i));
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    executor.run(std::move(inputs));
+    FAIL() << "a duplicated result with recovery off must fail the run";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("worker for node 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("duplicate result for item 5"), std::string::npos)
+        << what;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+}
+
+// Recovery on: the journal retire drops the second copy, so the output
+// is still exactly once and in order.
+TEST(RecoverIntegration, DuplicateResultIsDroppedWithRecoveryOn) {
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  proc::ProcExecutorConfig config = recovering_config();
+  config.recovery.faults.dups = {{/*node=*/2, /*item=*/5},
+                                 {/*node=*/2, /*item=*/19}};
+  proc::ProcessExecutor executor(g, arithmetic_stages(),
+                                 sched::Mapping(std::vector<NodeId>{0, 1, 2}),
+                                 config);
+  std::vector<Bytes> inputs;
+  for (int i = 0; i < 20; ++i) inputs.push_back(bytes_of_int(i));
+  const auto report = executor.run(std::move(inputs));
+  expect_golden(report, 20);
+  EXPECT_EQ(report.items, 20u);
+  EXPECT_EQ(report.items_deduped, 2u);
+  EXPECT_EQ(report.node_losses, 0u);
 }
 
 // ------------------------------------ integration: degrade and arrival

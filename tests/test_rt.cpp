@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -182,6 +183,44 @@ TEST(Session, ThreadsStreamsIncrementally) {
   }
   ASSERT_EQ(got.size(), expected.size());
   EXPECT_EQ(got, expected);  // input order restored
+}
+
+// Idle-stream push->pop latency, threads vs process at the default
+// time_scale with adaptation off: one item at a time, 5 ms apart, so
+// every push lands on a runtime with nothing else to do. Both live
+// substrates must notice the push at once (the process controller's
+// 50 ms poll cap must not be what admits it).
+TEST(Session, IdlePushLatencyParityThreadsAndProcess) {
+  using Clock = std::chrono::steady_clock;
+  const auto g = grid::uniform_cluster(3, 1.0, 1e-3, 1e8);
+  const auto expected = expected_outputs(20);
+  for (RuntimeKind kind : {RuntimeKind::kThreads, RuntimeKind::kProcess}) {
+    auto runtime = make_runtime(kind, g, typed_spec(), RuntimeOptions{});
+    auto session = runtime->open();
+    std::vector<double> push_to_pop_ms;
+    for (std::int64_t i = 0; i < 20; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const auto t0 = Clock::now();
+      session->push(std::any(i));
+      std::optional<std::any> out;
+      while (!(out = session->try_pop()) &&
+             Clock::now() - t0 < std::chrono::seconds(2)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+      ASSERT_TRUE(out.has_value()) << to_string(kind) << " item " << i;
+      push_to_pop_ms.push_back(
+          std::chrono::duration<double, std::milli>(Clock::now() - t0)
+              .count());
+      EXPECT_EQ(std::any_cast<std::string>(std::move(*out)),
+                expected[static_cast<std::size_t>(i)])
+          << to_string(kind) << " item " << i;
+    }
+    session->close();
+    EXPECT_EQ(session->report().items, 20u) << to_string(kind);
+    std::sort(push_to_pop_ms.begin(), push_to_pop_ms.end());
+    EXPECT_LT(push_to_pop_ms[push_to_pop_ms.size() / 2], 10.0)
+        << to_string(kind) << ": idle push->pop median";
+  }
 }
 
 TEST(Session, PushAfterCloseThrows) {
@@ -392,6 +431,16 @@ TEST(RtObservability, TraceAndMetricsCoverEverySubstrate) {
     ASSERT_NE(service, nullptr) << to_string(kind);
     EXPECT_GE(service->count, static_cast<std::uint64_t>(kItems))
         << to_string(kind) << ": fewer stage executions than items";
+    // push->admit wait: the part of push->pop latency item_latency
+    // (which starts at admission) cannot see. Both live substrates with
+    // their own admission path record one sample per item.
+    if (kind == RuntimeKind::kThreads || kind == RuntimeKind::kProcess) {
+      const auto* admit_wait =
+          report.obs_metrics.find_histogram(obs::names::kAdmitWait);
+      ASSERT_NE(admit_wait, nullptr) << to_string(kind);
+      EXPECT_EQ(admit_wait->count, static_cast<std::uint64_t>(kItems))
+          << to_string(kind);
+    }
 
     // Span census over the trace.
     std::size_t item_spans = 0;
